@@ -3,9 +3,11 @@
    micro-benchmarks (Bechamel) of the local leaf kernels and of the
    compiler itself.
 
-   Usage: main.exe [section ...]
+   Usage: main.exe [--out-dir DIR] [section ...]
    Sections: leaf compile fig15a fig15b fig16a fig16b fig16c fig16d
              headline simperf ablation. No arguments runs everything.
+   Output files (BENCH_*.json, results/) go to DIR, default the current
+   directory.
 
    simperf measures the simulator itself (wall-clock throughput over a
    fig16-sized kernel and a cyclic GEMM) and writes BENCH_simperf.json;
@@ -32,6 +34,11 @@ module Cp = Distal_obs.Critical_path
 module Report = Distal_obs.Report
 module Chrome_trace = Distal_obs.Chrome_trace
 module Json = Distal_support.Json
+
+(* Where BENCH_*.json and results/ are written ([--out-dir]; default the
+   current directory). *)
+let out_dir = ref None
+let out_file name = match !out_dir with Some d -> Filename.concat d name | None -> name
 
 (* {2 Bechamel micro-benchmarks} *)
 
@@ -131,7 +138,7 @@ let strong () =
     { (Distal_harness.Strong.gemm ~kind:Machine.Cpu ()) with Figure.id = "strong-cpu" }
 
 let csv () =
-  let dir = "results" in
+  let dir = out_file "results" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun f ->
@@ -155,7 +162,7 @@ let headline () =
   let f16 = (Fig16.ttv (), Fig16.innerprod (), Fig16.ttm (), Fig16.mttkrp ()) in
   let rows = Headline.compute ~fig15a ~fig16:f16 ~nodes:256 in
   Headline.print rows;
-  let file = "BENCH_headline.json" in
+  let file = out_file "BENCH_headline.json" in
   Headline.save_json ~file ~nodes:256 rows;
   Printf.printf "wrote %s\n" file
 
@@ -665,7 +672,7 @@ let simperf_run ~small () =
                !metrics) );
       ]
   in
-  let file = "BENCH_simperf.json" in
+  let file = out_file "BENCH_simperf.json" in
   let oc = open_out file in
   output_string oc (Json.to_string_pretty json);
   output_char oc '\n';
@@ -787,7 +794,7 @@ let serve_run ~small () =
                ]) );
       ]
   in
-  let file = "BENCH_serve.json" in
+  let file = out_file "BENCH_serve.json" in
   let oc = open_out file in
   output_string oc (Json.to_string_pretty json);
   output_char oc '\n';
@@ -1034,8 +1041,25 @@ let sections =
   ]
 
 let () =
-  let requested =
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      Sys.mkdir dir 0o755
+    end
+  in
+  let argv =
     match Array.to_list Sys.argv with
+    | exe :: "--out-dir" :: dir :: rest ->
+        out_dir := Some dir;
+        mkdir_p dir;
+        exe :: rest
+    | [ _; "--out-dir" ] ->
+        prerr_endline "--out-dir needs a directory";
+        exit 1
+    | argv -> argv
+  in
+  let requested =
+    match argv with
     | _ :: "profile" :: rest ->
         profile_cmd rest;
         []

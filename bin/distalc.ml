@@ -181,7 +181,9 @@ let run_pipeline ~machine_dims ~gpu ~tensors ~stmt ~schedule ~validate ~estimate
   let* machine_dims = parse_dims machine_dims in
   let kind = if gpu then Machine.Gpu else Machine.Cpu in
   let mem = if gpu then 16e9 else 256e9 in
-  let machine = Machine.grid ~kind ~mem_per_proc:mem machine_dims in
+  let* machine =
+    try Ok (Machine.grid ~kind ~mem_per_proc:mem machine_dims) with Invalid_argument e -> Error e
+  in
   let* tensors =
     List.fold_left
       (fun acc s ->

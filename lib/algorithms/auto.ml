@@ -71,14 +71,16 @@ let ( let* ) = Result.bind
    tensor distributions, cost model — so a hit is exactly the value the
    probe would recompute. *)
 
-let cache : (string, Api.plan * Stats.t) Lru.t Lazy.t =
-  lazy (Lru.create ~capacity:(Option.value (Env.auto_cache ()) ~default:512))
+(* Forced under a lock: searches may start on several domains at once. *)
+let cache_cell = lazy (Lru.create ~capacity:(Option.value (Env.auto_cache ()) ~default:512))
+let cache_m = Mutex.create ()
+let cache () : (string, Api.plan * Stats.t) Lru.t = Mutex.protect cache_m (fun () -> Lazy.force cache_cell)
 
 let cache_stats () =
-  let c = Lazy.force cache in
+  let c = cache () in
   (Lru.hits c, Lru.misses c, Lru.evictions c)
 
-let clear_cache () = Lru.clear (Lazy.force cache)
+let clear_cache () = Lru.clear (cache ())
 
 (* {2 Enumeration} *)
 
@@ -315,7 +317,7 @@ let compile_spec ~stmt ~parsed spec =
       | Error _ -> Ok plan)
 
 let probe ~stmt ~parsed spec =
-  let c = Lazy.force cache in
+  let c = cache () in
   match Lru.find c spec.s_fp with
   | Some (plan, stats) -> Ok (plan, stats, true)
   | None -> (

@@ -38,12 +38,13 @@ let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
 let shapes_of tensors = List.map (fun t -> (t.name, t.shape)) tensors
 
 let problem ?profile ?virtual_grid ~machine ~stmt ~tensors () =
-  let dist_machine =
+  let* dist_machine =
     match virtual_grid with
-    | None -> machine
-    | Some dims ->
-        Machine.grid ~kind:(Machine.kind machine)
-          ~mem_per_proc:(Machine.mem_per_proc_bytes machine) dims
+    | None -> Ok machine
+    | Some dims -> (
+        let mem_per_proc = Machine.mem_per_proc_bytes machine in
+        try Ok (Machine.grid ~kind:(Machine.kind machine) ~mem_per_proc dims)
+        with Invalid_argument e -> errf "invalid virtual grid: %s" e)
   in
   let* stmt = phase profile "parse" (fun () -> Einsum_parser.parse stmt) in
   let* _ =

@@ -10,14 +10,15 @@ type t = {
 }
 
 let grid ?node_factors ?(kind = Cpu) ?(mem_per_proc = 256e9) dims =
-  assert (Array.length dims > 0);
-  assert (Array.for_all (fun d -> d > 0) dims);
+  let fail fmt = Printf.ksprintf invalid_arg ("machine grid %s: " ^^ fmt) (Ints.to_string dims) in
+  if Array.length dims = 0 then fail "needs at least one dimension";
+  if not (Array.for_all (fun d -> d > 0) dims) then fail "dimensions must be positive";
   let node_factors =
     match node_factors with
     | None -> Array.map (fun _ -> 1) dims
     | Some f ->
-        assert (Array.length f = Array.length dims);
-        Array.iteri (fun d fd -> assert (fd > 0 && dims.(d) mod fd = 0)) f;
+        if Array.length f <> Array.length dims then fail "node factors %s do not match" (Ints.to_string f);
+        Array.iteri (fun d fd -> if fd <= 0 || dims.(d) mod fd <> 0 then fail "node factor %d of dimension %d" fd d) f;
         Array.copy f
   in
   { dims = Array.copy dims; node_factors; kind; mem_per_proc }

@@ -26,7 +26,9 @@ val grid :
   t
 (** A machine organized as the given grid. Defaults: every processor its
     own node, CPU processors, 256 GB per processor. Factors must divide
-    their dimensions. *)
+    their dimensions.
+    @raise Invalid_argument when [dims] is empty or has a non-positive
+    entry, or a node factor does not match or divide its dimension. *)
 
 val hierarchical :
   node_dims:int array ->

@@ -3,7 +3,7 @@ module Cost = Distal_machine.Cost_model
 
 type raw = {
   tensor : string;
-  pieces : Rect.t list;
+  pieces : Rect.t list Lazy.t;
   merged : Rect.t list;
   nfrag : int;
   volume : int;
@@ -127,7 +127,7 @@ let merge_rects = function
 let batch ~tensor ~src ~dst ~link pieces =
   let nfrag = List.length pieces in
   let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
-  { tensor; pieces; merged = merge_rects pieces; nfrag; volume; src; dst; link }
+  { tensor; pieces = Lazy.from_val pieces; merged = merge_rects pieces; nfrag; volume; src; dst; link }
 
 let compare_xfer a b =
   let c = String.compare a.tensor b.tensor in
@@ -273,7 +273,7 @@ let uncoalesced raws =
     (fun (r : raw) ->
       List.map
         (fun p -> make_xfer r.tensor r.src r.dst r.link [ p ] (Rect.volume p))
-        r.pieces)
+        (Lazy.force r.pieces))
     raws
   |> List.sort compare_xfer
 

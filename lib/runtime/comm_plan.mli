@@ -26,7 +26,7 @@ module Cost = Distal_machine.Cost_model
 
 type raw = {
   tensor : string;
-  pieces : Rect.t list;  (** disjoint fragments as discovered *)
+  pieces : Rect.t list Lazy.t;  (** disjoint fragments as discovered *)
   merged : Rect.t list;  (** the same elements with adjacent rects unioned *)
   nfrag : int;  (** [List.length pieces] *)
   volume : int;  (** total elements over [pieces] *)
@@ -36,8 +36,9 @@ type raw = {
 }
 (** One batch of fragments as discovered by the executor: everything one
     fetch pulls from one owner. The executor builds each batch once per
-    distinct (tensor, footprint) via {!batch} and shares it across tasks,
-    so the per-fragment merging work is not repeated per receiver. *)
+    distinct (tensor, footprint) from the closed-form geometry, which
+    yields [merged], [nfrag] and [volume] without listing the fragments,
+    and shares it across tasks. *)
 
 val batch :
   tensor:string -> src:int -> dst:int -> link:Cost.link -> Rect.t list -> raw

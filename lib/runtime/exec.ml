@@ -3,7 +3,6 @@ module Pool = Distal_support.Pool
 module Env = Distal_support.Env
 module Dense = Distal_tensor.Dense
 module Rect = Distal_tensor.Rect
-module Rect_index = Distal_tensor.Rect_index
 module Kernels = Distal_tensor.Kernels
 module Kreg = Distal_tensor.Kernel_registry
 module Machine = Distal_machine.Machine
@@ -14,6 +13,7 @@ module Provenance = Distal_ir.Provenance
 module Bounds = Distal_ir.Bounds
 module Taskir = Distal_ir.Taskir
 module Distnot = Distal_ir.Distnot
+module Dist_geom = Distal_ir.Dist_geom
 module Kernel_match = Distal_ir.Kernel_match
 module Fault = Distal_fault.Fault
 module Injector = Distal_fault.Injector
@@ -96,17 +96,6 @@ type group = {
   mutable receivers : (int * Cost.link) list;
 }
 
-(* One owner-group of a memoized fetch plan: the pieces of a footprint a
-   given owner set holds, pre-merged into block/strided form. Owners are
-   physical linear indices, deduped, in discovery order. *)
-type fetch_group = {
-  fg_owners : int list;
-  fg_pieces : Rect.t list;
-  fg_merged : Rect.t list;
-  fg_nfrag : int;
-  fg_volume : int;
-}
-
 (* Deferred side effects of one task probe. Index-launch points run
    concurrently on a domain pool, so a task body never touches shared
    state: it records its compute charges, communication batches and (in
@@ -117,16 +106,8 @@ type fetch_group = {
    serial execution produces, whatever the domain count. *)
 type fx =
   | Fx_compute of { step : int; flops : float; bytes : float }
-  | Fx_batch of {
-      step : int;
-      tensor : string;
-      src : int;
-      dst : int;
-      pieces : Rect.t list;
-      merged : Rect.t list;
-      nfrag : int;
-      volume : int;
-    }
+  | Fx_batch of { step : int; tensor : string; src : int; dst : int; g : Dist_geom.group }
+      (* one owner group of a fetch plan moving src -> dst *)
   | Fx_red of { step : int; rect : Rect.t; buf : Dense.t option }
       (* reduction partial: register the contribution, add into the output *)
   | Fx_out of { step : int; rect : Rect.t; buf : Dense.t option }
@@ -376,12 +357,13 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   (* Distributions (and index task launches) may target a virtual grid
      larger than the machine; virtual processors fold onto physical ones
      exactly as the mapper folds launch points. *)
-  let vmachine =
+  let* vmachine =
     match spec.virtual_grid with
-    | None -> machine
-    | Some dims ->
-        Machine.grid ~kind:(Machine.kind machine)
-          ~mem_per_proc:(Machine.mem_per_proc_bytes machine) dims
+    | None -> Ok machine
+    | Some dims -> (
+        let mem_per_proc = Machine.mem_per_proc_bytes machine in
+        try Ok (Machine.grid ~kind:(Machine.kind machine) ~mem_per_proc dims)
+        with Invalid_argument e -> errf "invalid virtual grid: %s" e)
   in
   let nprocs_phys = Machine.num_procs machine in
   (* Validate distributions. *)
@@ -529,139 +511,34 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
           else p
     | _ -> fun ~step:_ p -> p
   in
-  (* Folding a virtual owner to a physical linear index needs no coordinate
-     round-trip: delinearize and linearize on the same machine cancel. *)
-  let lin_of_virtual =
-    if spec.virtual_grid = None then Machine.linearize machine
-    else fun vc -> Machine.linearize vmachine vc mod nprocs_phys
-  in
-  let tiles_of : (string, int list Rect_index.t) Hashtbl.t = Hashtbl.create 8 in
-  (* Per-tensor: a spatial index over the distribution's tiles (cyclic
-     distributions produce many), the tiles each physical processor owns
-     (several under over-decomposition), and a memo of needed-rect ->
-     (piece, owners) coverings — the hot lookups of the simulation. Owners
-     are physical linear indices. *)
-  let proc_rects_of : (string, Rect.t list array) Hashtbl.t = Hashtbl.create 8 in
-  (* Tensors sharing a distribution and shape (e.g. both GEMM operands
-     cyclic over the same grid) share one tile sweep, index and owned-tile
-     table — the index is read-only under query interleaving. *)
-  let geom_memo : (string, int list Rect_index.t * Rect.t list array) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  (* Per-tensor closed-form geometry ({!Distal_ir.Dist_geom}): owners
+     are physical linear indices, virtual owners folded by linear index
+     exactly as the mapper folds launch points. *)
+  let geom_of : (string, Dist_geom.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun tn ->
-      let shape = Taskir.shape_of prog tn in
-      let dist = List.assoc tn dists in
-      let key = Distnot.to_string dist ^ "|" ^ Ints.to_string shape in
-      let index, rects =
-        match Hashtbl.find_opt geom_memo key with
-        | Some g -> g
-        | None ->
-            let vtiles = Distnot.tiles dist ~shape ~machine:vmachine in
-            let dedup owners =
-              match owners with
-              | [ o ] -> [ lin_of_virtual o ]
-              | _ ->
-                  List.fold_left
-                    (fun acc o ->
-                      let l = lin_of_virtual o in
-                      if List.mem l acc then acc else l :: acc)
-                    [] owners
-                  |> List.rev
-            in
-            let index =
-              Rect_index.build (List.map (fun (r, owners) -> (r, dedup owners)) vtiles)
-            in
-            (* The owned-tile lists fall out of the same tile sweep ([tiles]
-               already ran [rects_of_proc] for every virtual processor). *)
-            let rects = Array.make nprocs [] in
-            List.iter
-              (fun (r, owners) ->
-                List.iter
-                  (fun vc ->
-                    let p = lin_of_virtual vc in
-                    rects.(p) <- r :: rects.(p))
-                  owners)
-              vtiles;
-            let g = (index, rects) in
-            Hashtbl.add geom_memo key g;
-            g
-      in
-      Hashtbl.replace tiles_of tn index;
-      Hashtbl.replace proc_rects_of tn rects)
+      Hashtbl.replace geom_of tn
+        (Dist_geom.create ~merge:Comm_plan.merge_rects (List.assoc tn dists)
+           ~shape:(Taskir.shape_of prog tn) ~machine:vmachine ~nprocs:nprocs_phys))
     tensors;
-  (* Per-lane working state: every mutable cache a task probe touches.
-     Each pool lane builds its own (memo tables, index cursor, bounds
-     memo), so concurrent tasks never share mutable state; within a lane,
-     tasks hit the same memos a serial run would. [pieces_of] covers a
-     needed rect with (piece, owners) from the spatial index; [plan_of]
-     groups those pieces by owner set and pre-merges each group
-     ([Comm_plan.merge_rects]) — computed once per distinct (tensor,
-     footprint) and shared by every task in the lane that needs that
-     footprint. For cyclic distributions this is where thousands of
-     per-piece decisions collapse into a handful of per-owner batches. *)
+  (* Per-lane working state: every mutable cache a task probe touches,
+     built per pool lane so concurrent tasks share nothing mutable. Memos
+     keyed on structural (tensor, footprint) pairs: [plan_of] gives the
+     pieces grouped by owner set with merged runs, [pieces_of] the pieces
+     ungrouped with their owners. *)
   let make_lane_ctx () =
-    let cursor = Rect_index.cursor () in
-    (* Memo keys are structural (tensor, rect) pairs: rects hash and
-       compare directly, so the hot per-task lookups cost no string
-       rendering — under multi-domain probes that formatting was a
-       measurable source of allocation (and thus shared-GC contention). *)
-    let pieces_memo : (string * Rect.t, (Rect.t * int list) list) Hashtbl.t =
-      Hashtbl.create 256
+    let memo f =
+      let tbl = Hashtbl.create 64 in
+      fun tn rect ->
+        let key = (tn, rect) in
+        match Hashtbl.find_opt tbl key with
+        | Some v -> v
+        | None ->
+            let v = f (Hashtbl.find geom_of tn) rect in
+            Hashtbl.add tbl key v;
+            v
     in
-    let pieces_of tn rect =
-      let key = (tn, rect) in
-      match Hashtbl.find_opt pieces_memo key with
-      | Some ps -> ps
-      | None ->
-          let ps = Rect_index.query ~cursor (Hashtbl.find tiles_of tn) rect in
-          Hashtbl.add pieces_memo key ps;
-          ps
-    in
-    let plans_memo : (string * Rect.t, fetch_group list) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let plan_of tn rect =
-      let key = (tn, rect) in
-      match Hashtbl.find_opt plans_memo key with
-      | Some plan -> plan
-      | None ->
-          let ps = pieces_of tn rect in
-          let rec same_owners (a : int list) (b : int list) =
-            match (a, b) with
-            | [], [] -> true
-            | x :: xs, y :: ys -> x = y && same_owners xs ys
-            | _ -> false
-          in
-          let groups : (int list * Rect.t list ref * int ref) list ref = ref [] in
-          List.iter
-            (fun (piece, owners) ->
-              match
-                List.find_opt (fun (os, _, _) -> same_owners os owners) !groups
-              with
-              | Some (_, ps, vol) ->
-                  ps := piece :: !ps;
-                  vol := !vol + Rect.volume piece
-              | None ->
-                  groups := (owners, ref [ piece ], ref (Rect.volume piece)) :: !groups)
-            ps;
-          let plan =
-            List.rev_map
-              (fun (os, ps, vol) ->
-                let pieces = List.rev !ps in
-                {
-                  fg_owners = os;
-                  fg_pieces = pieces;
-                  fg_merged = Comm_plan.merge_rects pieces;
-                  fg_nfrag = List.length pieces;
-                  fg_volume = !vol;
-                })
-              !groups
-          in
-          Hashtbl.add plans_memo key plan;
-          plan
-    in
-    (Bounds.memo prov ~stmt, pieces_of, plan_of)
+    (Bounds.memo prov ~stmt, memo Dist_geom.fragments, memo Dist_geom.pieces)
   in
   (* Reduction mode: some distributed loop variable derives from a
      variable summed over (§3.3: "distributing variables used for
@@ -706,7 +583,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
      cross-rack accounting see the raw bytes (planning never changes
      totals); the batch itself is planned into wire messages at assembly
      time. Trace consumers still see one event per fragment. *)
-  let add_batch ~step ~tensor ~src ~dst ~pieces ~merged ~nfrag ~volume =
+  let add_batch ~step ~tensor ~src ~dst { Dist_geom.pieces; merged; nfrag; volume; _ } =
     if volume > 0 then begin
       let a = acc_of step in
       let bytes = 8.0 *. float_of_int volume in
@@ -738,7 +615,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
                   bytes = bytes_of_rect piece;
                 }
                 :: !log)
-            pieces
+            (Lazy.force pieces)
       | None -> ()
     end
   in
@@ -746,11 +623,10 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   let static_mem = Array.make nprocs 0.0 in
   List.iter
     (fun tn ->
-      let rects = Hashtbl.find proc_rects_of tn in
+      let g = Hashtbl.find geom_of tn in
       Array.iteri
-        (fun p rs ->
-          List.iter (fun r -> static_mem.(p) <- static_mem.(p) +. bytes_of_rect r) rs)
-        rects)
+        (fun p m -> static_mem.(p) <- m +. Dist_geom.owned_bytes g ~proc:p)
+        static_mem)
     tensors;
   let dyn_peak = Array.make nprocs 0.0 in
   (* {3 Per-task walk} *)
@@ -817,9 +693,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
       if !dyn > !dyn_max then dyn_max := !dyn
     in
     let shrink bytes = dyn := !dyn -. bytes in
-    let proc_owns tn rect =
-      List.exists (fun r -> Rect.subset rect r) (Hashtbl.find proc_rects_of tn).(proc)
-    in
+    let proc_owns tn rect = Dist_geom.owns (Hashtbl.find geom_of tn) ~proc rect in
     (* Fetch cost: the footprint's memoized fetch plan gives the pieces
        grouped by owner set; groups the processor itself owns are free,
        the rest become one fragment batch each (same-node owners
@@ -827,29 +701,19 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
     let charge_fetch tn rect =
       let step = step_of () in
       List.iter
-        (fun g ->
-          if not (List.mem proc g.fg_owners) then begin
+        (fun (g : Dist_geom.group) ->
+          if not (List.mem proc g.owners) then begin
             let src =
               match
                 List.find_opt
                   (fun o -> node_of_lin.(o) = node_of_lin.(proc))
-                  g.fg_owners
+                  g.owners
               with
               | Some o -> o
-              | None -> List.hd g.fg_owners
+              | None -> List.hd g.owners
             in
             emit
-              (Fx_batch
-                 {
-                   step;
-                   tensor = tn;
-                   src;
-                   dst = proc;
-                   pieces = g.fg_pieces;
-                   merged = g.fg_merged;
-                   nfrag = g.fg_nfrag;
-                   volume = g.fg_volume;
-                 })
+              (Fx_batch { step; tensor = tn; src; dst = proc; g })
           end)
         (plan_of tn rect)
     in
@@ -871,10 +735,9 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
                        tensor = out_name;
                        src = proc;
                        dst;
-                       pieces = [ piece ];
-                       merged = [ piece ];
-                       nfrag = 1;
-                       volume = Rect.volume piece;
+                       g =
+                         { owners = os; merged = [ piece ]; nfrag = 1;
+                           volume = Rect.volume piece; pieces = Lazy.from_val [ piece ] };
                      }))
             (pieces_of out_name rect);
         emit (Fx_out { step; rect; buf })
@@ -1229,10 +1092,9 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
           match e with
           | Fx_compute { step; flops; bytes } ->
               add_compute ~step ~proc:(remap ~step proc) ~flops ~bytes
-          | Fx_batch { step; tensor; src; dst; pieces; merged; nfrag; volume } ->
+          | Fx_batch { step; tensor; src; dst; g } ->
               let src = remap ~step src and dst = remap ~step dst in
-              if src <> dst then
-                add_batch ~step ~tensor ~src ~dst ~pieces ~merged ~nfrag ~volume
+              if src <> dst then add_batch ~step ~tensor ~src ~dst g
           | Fx_red { step; rect; buf } -> (
               let rproc = remap ~step proc in
               (match ckpt with
@@ -2023,7 +1885,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
                 raws :=
                   {
                     Comm_plan.tensor = "";
-                    pieces = [ piece ];
+                    pieces = Lazy.from_val [ piece ];
                     merged = [ piece ];
                     nfrag = 1;
                     volume = Rect.volume piece;

@@ -6,8 +6,10 @@
    lanes 1..n-1. Exceptions raised by any lane are re-raised in the
    caller after every lane has finished (first one wins).
 
-   Pools are not reentrant: [run] must not be called from inside a lane
-   body, and pools are meant to be driven from the main domain. *)
+   A pool runs one job at a time. A [run] that finds it busy — a job
+   submitted from another domain, or a lane body calling [run] again —
+   executes its lanes one after another on the calling domain instead of
+   corrupting the job in flight. *)
 
 type t = {
   size : int;
@@ -20,6 +22,7 @@ type t = {
   mutable pending : int;  (* workers still running the current epoch *)
   mutable failed : (exn * Printexc.raw_backtrace) option;
   mutable stop : bool;
+  busy : bool Atomic.t;  (* a job is in flight *)
   mutable workers : unit Domain.t list;  (* spawned on first multi-lane run *)
 }
 
@@ -43,6 +46,7 @@ let create size =
     pending = 0;
     failed = None;
     stop = false;
+    busy = Atomic.make false;
     workers = [];
   }
 
@@ -104,7 +108,16 @@ let shutdown t =
 let run t ~lanes f =
   let lanes = max 1 (min lanes t.size) in
   if lanes = 1 then f 0
+  else if not (Atomic.compare_and_set t.busy false true) then begin
+    (* Busy: every lane on the caller, in order; first exception wins. *)
+    let failed = ref None in
+    for lane = 0 to lanes - 1 do
+      try f lane with e -> if !failed = None then failed := Some (e, Printexc.get_raw_backtrace ())
+    done;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failed
+  end
   else begin
+    Fun.protect ~finally:(fun () -> Atomic.set t.busy false) @@ fun () ->
     ensure_started t;
     Mutex.lock t.m;
     t.job <- f;
@@ -129,14 +142,16 @@ let run t ~lanes f =
   end
 
 (* One shared pool per size, shut down at exit so idle worker domains
-   never outlive the main domain. *)
+   never outlive the main domain. Guarded: sessions ask from pool lanes. *)
 let pools : (int, t) Hashtbl.t = Hashtbl.create 4
+let pools_m = Mutex.create ()
 let exit_hooked = ref false
 
 let get ?size () =
   let n =
     match size with Some n -> max 1 (min n max_domains) | None -> default_size ()
   in
+  Mutex.protect pools_m @@ fun () ->
   match Hashtbl.find_opt pools n with
   | Some p -> p
   | None ->

@@ -5,8 +5,9 @@
     jobs; the calling domain always participates as lane 0, so a pool of
     size [n] runs [n] lanes on [n] domains total.
 
-    Pools are driven from the main domain and are not reentrant ([run]
-    must not be called from inside a lane body). *)
+    A pool runs one job at a time: a {!run} that finds the pool busy —
+    another domain's job in flight, or a lane body calling {!run} again —
+    runs its lanes one after another on the calling domain. *)
 
 type t
 
@@ -33,7 +34,8 @@ val run : t -> lanes:int -> (int -> unit) -> unit
     [0 .. min lanes (size t) - 1], concurrently on the pool's domains;
     lane 0 runs on the caller. Returns when every lane has finished. If
     any lane raised, the first exception is re-raised in the caller
-    (after all lanes finished). With [lanes <= 1] this is just [f 0]. *)
+    (after all lanes finished). With [lanes <= 1] this is just [f 0]; on a
+    busy pool the lanes run in order on the caller. *)
 
 val shutdown : t -> unit
 (** Join the pool's worker domains. The pool can be reused afterwards

@@ -1,26 +1,33 @@
 type t = { lo : int array; hi : int array }
 
+let rec ordered_from lo hi d = d = Array.length lo || (lo.(d) <= hi.(d) && ordered_from lo hi (d + 1))
+
 let make ~lo ~hi =
-  assert (Array.length lo = Array.length hi);
-  Array.iteri (fun d l -> assert (l <= hi.(d))) lo;
+  assert (Array.length lo = Array.length hi && ordered_from lo hi 0);
   { lo; hi }
 
 let full dims = make ~lo:(Array.map (fun _ -> 0) dims) ~hi:(Array.copy dims)
 let dim t = Array.length t.lo
 let extents t = Array.init (dim t) (fun d -> t.hi.(d) - t.lo.(d))
-let volume t = Distal_support.Ints.prod (extents t)
-let is_empty t = volume t = 0
 
-let contains t coord =
-  Array.length coord = dim t
-  && Array.for_all (fun ok -> ok)
-       (Array.init (dim t) (fun d -> t.lo.(d) <= coord.(d) && coord.(d) < t.hi.(d)))
+(* Allocation-free: the executor calls these per task and per fetch. *)
+let rec volume_from t d v = if d = dim t then v else volume_from t (d + 1) (v * (t.hi.(d) - t.lo.(d)))
+let volume t = volume_from t 0 1
+
+let rec nonempty_from t d = d = dim t || (t.lo.(d) < t.hi.(d) && nonempty_from t (d + 1))
+let is_empty t = not (nonempty_from t 0)
+
+let rec contains_from t coord d =
+  d = dim t || (t.lo.(d) <= coord.(d) && coord.(d) < t.hi.(d) && contains_from t coord (d + 1))
+
+let contains t coord = Array.length coord = dim t && contains_from t coord 0
+
+let rec within_from a b d =
+  d = dim a || (b.lo.(d) <= a.lo.(d) && a.hi.(d) <= b.hi.(d) && within_from a b (d + 1))
 
 let subset a b =
   assert (dim a = dim b);
-  is_empty a
-  || Array.for_all (fun ok -> ok)
-       (Array.init (dim a) (fun d -> b.lo.(d) <= a.lo.(d) && a.hi.(d) <= b.hi.(d)))
+  is_empty a || within_from a b 0
 
 let inter a b =
   assert (dim a = dim b);

@@ -139,6 +139,53 @@ let test_cyclic_fuzzed_semantics () =
   in
   match Api.validate plan with Ok () -> () | Error e -> Alcotest.fail e
 
+(* The model-cyclic benchmark's two plans, run in Model mode under the
+   CPU cost model: their simulated statistics are pinned bit for bit (the
+   values the benchmark's golden table checks every op against), so a
+   change to the geometry or the planner that moves them fails here
+   first. *)
+let golden_requests =
+  let t name shape dist = Api.tensor name shape ~dist in
+  [
+    ( "cyclic-gemm-128",
+      Api.request ~machine:(Machine.grid [| 4; 4 |]) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+        ~tensors:
+          [ t "A" [| 128; 128 |] "[x,y] -> [x,y]"; t "B" [| 128; 128 |] "[x,y] -> [x%1,y%1]";
+            t "C" [| 128; 128 |] "[x,y] -> [x%1,y%1]" ]
+        ~schedule:
+          "distribute_onto({i,j}, {io,jo}, {ii,ji}, [4,4]); split(k, ko, ki, 16); \
+           reorder(ko, ii, ji, ki); communicate(A, jo); communicate({B,C}, ko)"
+        (),
+      (0x1.10835dbf7c07ep-8, 3840, 0x1.ep+19, 8) );
+    ( "cyclic-ttv-2048",
+      Api.request ~virtual_grid:[| 512 |] ~machine:(Machine.grid [| 4 |])
+        ~stmt:"A(i,j) = B(i,j,k) * c(k)"
+        ~tensors:
+          [ t "A" [| 2048; 32 |] "[x,y] -> [x%1]"; t "B" [| 2048; 32; 32 |] "[x,y,z] -> [x%1]";
+            t "c" [| 32 |] "[x] -> [*]" ]
+        ~schedule:"divide(i, io, ii, 512); distribute(io); communicate({A,B,c}, io)" (),
+      (0x1.b3a24352c2e5bp-8, 24, 0x1.8cp+23, 1) );
+  ]
+
+let test_golden_stats () =
+  List.iter
+    (fun (name, req, (time, messages, bytes_inter, steps)) ->
+      let plan =
+        match Api.compile_request req with Ok p -> p | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let s =
+        (Api.run_exn ~mode:Api.Exec.Model ~domains:1 ~cost:Api.Cost_model.cpu_distal plan
+           ~data:[])
+          .Api.Exec.stats
+      in
+      Alcotest.(check string) (name ^ " time") (Printf.sprintf "%h" time)
+        (Printf.sprintf "%h" s.Stats.time);
+      Alcotest.(check int) (name ^ " messages") messages s.Stats.messages;
+      Alcotest.(check string) (name ^ " bytes_inter") (Printf.sprintf "%h" bytes_inter)
+        (Printf.sprintf "%h" s.Stats.bytes_inter);
+      Alcotest.(check int) (name ^ " steps") steps s.Stats.steps)
+    golden_requests
+
 let suites =
   [
     ( "cyclic distributions",
@@ -151,5 +198,6 @@ let suites =
         Alcotest.test_case "message granularity" `Quick test_cyclic_costs_more_messages;
         Alcotest.test_case "redistribute" `Quick test_cyclic_redistribute;
         Alcotest.test_case "3-tensor contraction" `Quick test_cyclic_fuzzed_semantics;
+        Alcotest.test_case "golden model stats" `Quick test_golden_stats;
       ] );
   ]

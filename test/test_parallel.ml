@@ -45,6 +45,51 @@ let test_pool_exception () =
   Alcotest.(check (array int)) "reusable after shutdown" [| 1; 1; 1 |] hits;
   Pool.shutdown pool
 
+(* Several domains at once drive the shared pools, the way session lanes
+   reach the executor: [Pool.get] hands every caller the same pool, and a
+   run that finds the pool busy still runs every lane exactly once. At
+   most four domains: the main one, two callers and one pool worker. *)
+let test_pool_shared_across_domains () =
+  let pool = Pool.get ~size:2 () in
+  let caller () =
+    let ok = ref (Pool.get ~size:3 ()) in
+    let same = ref true in
+    for _ = 1 to 200 do
+      let p = Pool.get ~size:2 () in
+      let hits = Array.make 2 0 in
+      Pool.run p ~lanes:2 (fun lane -> hits.(lane) <- hits.(lane) + 1);
+      same := !same && p == pool && hits = [| 1; 1 |] && Pool.get ~size:3 () == !ok
+    done;
+    (!same, !ok)
+  in
+  let ds = List.init 2 (fun _ -> Domain.spawn caller) in
+  let results = List.map Domain.join ds in
+  List.iter (fun (same, _) -> Alcotest.(check bool) "one pool, every lane once" true same) results;
+  let p3 = Pool.get ~size:3 () in
+  List.iter (fun (_, p) -> Alcotest.(check bool) "one pool per size" true (p == p3)) results
+
+(* Auto-scheduler searches started on two domains at once share the probe
+   cache and both probe on the one size-2 pool: each must rank exactly
+   what a serial search ranks. *)
+let test_concurrent_auto_search () =
+  let module Auto = Distal_algorithms.Auto in
+  let search () =
+    match
+      Auto.search ~domains:2 ~machine_of:Machine.grid ~procs:4 ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+        ~shapes:[ ("A", [| 8; 8 |]); ("B", [| 8; 8 |]); ("C", [| 8; 8 |]) ]
+        ()
+    with
+    | Ok cs -> List.map (fun c -> (Auto.describe c, Stats.to_string c.Auto.stats)) cs
+    | Error e -> [ ("error", e) ]
+  in
+  Auto.clear_cache ();
+  let ds = List.init 2 (fun _ -> Domain.spawn search) in
+  let concurrent = List.map Domain.join ds in
+  let serial = search () in
+  List.iter
+    (fun r -> Alcotest.(check (list (pair string string))) "same ranking" serial r)
+    concurrent
+
 let test_default_size () =
   let old = Option.value (Sys.getenv_opt "DISTAL_NUM_DOMAINS") ~default:"" in
   let restore () = Unix.putenv "DISTAL_NUM_DOMAINS" old in
@@ -223,6 +268,8 @@ let suites =
         Alcotest.test_case "pool runs every lane" `Quick test_pool_lanes;
         Alcotest.test_case "pool re-raises lane exceptions" `Quick test_pool_exception;
         Alcotest.test_case "DISTAL_NUM_DOMAINS parsing" `Quick test_default_size;
+        Alcotest.test_case "pools shared across domains" `Quick test_pool_shared_across_domains;
+        Alcotest.test_case "concurrent auto searches" `Quick test_concurrent_auto_search;
         Alcotest.test_case "reduction identity" `Quick test_reduction_identity;
         Alcotest.test_case "grid gemm identity" `Quick test_grid_identity;
         Alcotest.test_case "staged accumulation identity" `Quick test_staged_accumulate;

@@ -886,6 +886,52 @@ let test_server_faulted_request () =
       stop_server c pid;
       Client.close c)
 
+(* Malformed machines are answered with an error, never an exception:
+   each bad submit gets a [Failed] reply, and the daemon goes on to serve
+   a valid request. *)
+let bad_machine_submits ~id =
+  let ok = gemm_submit ~id:0 () in
+  [
+    ("empty grid", { ok with Protocol.id = id (); machine_dims = [||] });
+    ("zero extent", { ok with Protocol.id = id (); machine_dims = [| 0 |] });
+    ( "non-dividing node factor",
+      { ok with Protocol.id = id (); machine_node_factors = Some [| 3; 1 |] } );
+    ("zero virtual grid", { ok with Protocol.id = id (); virtual_grid = Some [| 0 |] });
+  ]
+
+let test_bad_machine_in_process () =
+  let session = Session.create ~domains:1 () in
+  List.iter
+    (fun (what, s) ->
+      match Protocol.to_request s with
+      | Error _ -> ()
+      | Ok req -> (
+          (match Api.compile_request req with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s: compiled" what);
+          match Session.run session req with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s: served" what))
+    (bad_machine_submits ~id:(fun () -> 0))
+
+let test_server_bad_machine () =
+  with_server ~args:[ "--batch-window"; "0.001" ] (fun socket pid ->
+      let c = Client.connect_exn socket in
+      List.iter
+        (fun (what, s) ->
+          match Client.submit c s with
+          | Ok (Client.Failed reason) ->
+              Alcotest.(check bool) (what ^ " names the problem") true (reason <> "")
+          | Ok _ -> Alcotest.failf "%s: expected an error reply" what
+          | Error e -> Alcotest.failf "%s: transport error %s" what e)
+        (bad_machine_submits ~id:(fun () -> Client.fresh_id c));
+      let good = gemm_submit ~id:(Client.fresh_id c) () in
+      let r = expect_result (Client.submit c good) in
+      Alcotest.(check (list int64)) "still serving" (fst (submit_expected good))
+        (bits r.Protocol.output);
+      stop_server c pid;
+      Client.close c)
+
 let suites =
   [
     ( "serve",
@@ -917,5 +963,7 @@ let suites =
         Alcotest.test_case "distald killed mid-batch and restarted" `Quick
           test_server_killed_and_restarted;
         Alcotest.test_case "distald faulted request" `Quick test_server_faulted_request;
+        Alcotest.test_case "bad machines are errors" `Quick test_bad_machine_in_process;
+        Alcotest.test_case "distald survives bad machines" `Quick test_server_bad_machine;
       ] );
   ]

@@ -39,6 +39,36 @@ let test_rect_scalar () =
   Alcotest.(check int) "scalar volume" 1 (Rect.volume r);
   Alcotest.(check bool) "scalar nonempty" false (Rect.is_empty r)
 
+(* The predicates the executor calls per task: rank 0, empty and edge
+   cases, and no allocation. *)
+let test_rect_predicates () =
+  let scalar = Rect.full [||] in
+  Alcotest.(check bool) "scalar contains its point" true (Rect.contains scalar [||]);
+  Alcotest.(check bool) "scalar subset of itself" true (Rect.subset scalar scalar);
+  let a = rect [| 0; 0; 0 |] [| 3; 4; 5 |] in
+  let flat = rect [| 1; 2; 2 |] [| 2; 2; 9 |] in
+  Alcotest.(check int) "volume" 60 (Rect.volume a);
+  Alcotest.(check int) "empty volume" 0 (Rect.volume flat);
+  Alcotest.(check bool) "empty in one dim" true (Rect.is_empty flat);
+  Alcotest.(check bool) "empty subset even out of bounds" true (Rect.subset flat a);
+  Alcotest.(check bool) "not subset past hi" false (Rect.subset (rect [| 0; 0; 0 |] [| 3; 4; 6 |]) a);
+  Alcotest.(check bool) "subset of itself" true (Rect.subset a a);
+  Alcotest.(check bool) "empty contains nothing" false (Rect.contains flat [| 1; 2; 2 |]);
+  Alcotest.(check bool) "contains lo" true (Rect.contains a [| 0; 0; 0 |]);
+  Alcotest.(check bool) "excludes hi" false (Rect.contains a [| 2; 3; 5 |]);
+  Alcotest.(check bool) "rank mismatch" false (Rect.contains a [| 0; 0 |]);
+  let point = [| 1; 1; 1 |] in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Rect.volume a));
+    ignore (Sys.opaque_identity (Rect.is_empty flat));
+    ignore (Sys.opaque_identity (Rect.contains a point));
+    ignore (Sys.opaque_identity (Rect.subset flat a))
+  done;
+  (* Reading the counter boxes a float or two; 4000 calls that each built
+     an array would cost thousands of words. *)
+  Alcotest.(check bool) "no allocation" true (Gc.minor_words () -. before < 100.0)
+
 let test_dense_get_set () =
   let t = Dense.create [| 2; 3 |] in
   Dense.set t [| 1; 2 |] 5.0;
@@ -223,6 +253,7 @@ let suites =
         Alcotest.test_case "hull/subset" `Quick test_rect_hull_subset;
         Alcotest.test_case "iter" `Quick test_rect_iter;
         Alcotest.test_case "scalar" `Quick test_rect_scalar;
+        Alcotest.test_case "predicates" `Quick test_rect_predicates;
       ] );
     ( "dense",
       [
